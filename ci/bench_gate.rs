@@ -403,15 +403,6 @@ fn attributed_chaos_breaches(doc: &Json) -> Option<f64> {
 /// The declarative gate: per-metric direction + slack in one table.
 const CHECKS: &[Check] = &[
     Check {
-        file: "BENCH_scale.json",
-        metric: "in_run_speedup (8-lane critical path)",
-        dir: Dir::AtLeast,
-        target: 4.0,
-        slack: 0.0,
-        severity: Severity::Fatal,
-        extract: |f| f.doc("BENCH_scale.json")?.find_num("in_run_speedup"),
-    },
-    Check {
         file: "BENCH_mq.json",
         metric: "passthrough/mux rx p99 ratio @128 VMs",
         dir: Dir::AtMost,
@@ -594,8 +585,8 @@ mod tests {
 
     #[test]
     fn find_num_descends_depth_first() {
-        let doc = parse(r#"{"outer": {"cells": [{"x": 1}, {"in_run_speedup": 7.5}]}}"#).unwrap();
-        assert_eq!(doc.find_num("in_run_speedup"), Some(7.5));
+        let doc = parse(r#"{"outer": {"cells": [{"x": 1}, {"speedup": 7.5}]}}"#).unwrap();
+        assert_eq!(doc.find_num("speedup"), Some(7.5));
         assert_eq!(doc.find_num("absent"), None);
     }
 

@@ -9,8 +9,9 @@
 //! * **isolated** — no messages at all: every lane declares no egress,
 //!   the executor collapses to one unbounded window, and the measured
 //!   cost is pure per-step dispatch (the sharding floor);
-//! * **sparse** — ~1% of steps emit: the realistic shape for per-VM
-//!   lanes, where cross-VM traffic is rare relative to local events;
+//! * **sparse** — ~1% of steps emit: the realistic shape for cluster
+//!   host lanes, where cross-host traffic is rare relative to local
+//!   events;
 //! * **dense** — every step emits: worst case, one rendezvous-visible
 //!   message per event, so the per-message staging/ordering cost
 //!   dominates.

@@ -90,6 +90,29 @@ fn dump_ev_profile() {
     eprintln!("{}", es2_metrics::ev_profile::render(es2_testbed::EV_KIND_NAMES));
 }
 
+/// Write an artifact, exiting non-zero if it cannot be written.
+fn write_artifact(path: &str, content: &str) {
+    if let Err(e) = std::fs::write(path, content) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+}
+
+/// The experiments `repro` renders by name (`all` selects every one).
+const EXPERIMENTS: [&str; 10] = [
+    "table1",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "sriov",
+    "ablations",
+    "chaos",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
@@ -104,16 +127,10 @@ fn main() {
         }
         let json = perf::perf_baseline_json(params, SEED, fast);
         print!("{json}");
-        match std::fs::write("BENCH_sweeps.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_sweeps.json"),
-            Err(e) => eprintln!("could not write BENCH_sweeps.json: {e}"),
-        }
+        write_artifact("BENCH_sweeps.json", &json);
         let json = perf::faults_baseline_json(params, SEED, fast);
         print!("{json}");
-        match std::fs::write("BENCH_faults.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_faults.json"),
-            Err(e) => eprintln!("could not write BENCH_faults.json: {e}"),
-        }
+        write_artifact("BENCH_faults.json", &json);
         dump_ev_profile();
         return;
     }
@@ -133,12 +150,8 @@ fn main() {
         } else {
             "BENCH_trace.json"
         };
-        for (p, content) in [(path, &out.json), ("target/BENCH_trace_chrome.json", &out.chrome)] {
-            match std::fs::write(p, content) {
-                Ok(()) => eprintln!("wrote {p}"),
-                Err(e) => eprintln!("could not write {p}: {e}"),
-            }
-        }
+        write_artifact(path, &out.json);
+        write_artifact("target/BENCH_trace_chrome.json", &out.chrome);
         dump_ev_profile();
         return;
     }
@@ -163,10 +176,7 @@ fn main() {
         } else {
             "BENCH_scale.json"
         };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, &json);
         dump_ev_profile();
         return;
     }
@@ -182,7 +192,7 @@ fn main() {
         }
         let (report, json) = migrate::migrate_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 / ES2_LANES and the defaults. A fast
+        // it between ES2_THREADS=1 and the default thread count. A fast
         // run must not clobber the committed full-window
         // BENCH_migrate.json.
         print!("{report}");
@@ -191,10 +201,7 @@ fn main() {
         } else {
             "BENCH_migrate.json"
         };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, &json);
         dump_ev_profile();
         return;
     }
@@ -210,7 +217,7 @@ fn main() {
         }
         let (report, json) = churn::churn_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 / ES2_LANES and the defaults. A fast
+        // it between ES2_THREADS=1 and the default thread count. A fast
         // run must not clobber the committed full-window
         // BENCH_churn.json.
         print!("{report}");
@@ -219,10 +226,7 @@ fn main() {
         } else {
             "BENCH_churn.json"
         };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, &json);
         dump_ev_profile();
         return;
     }
@@ -235,7 +239,7 @@ fn main() {
         }
         let (report, json, chrome) = telemetry::telemetry_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
-        // it between ES2_THREADS=1 / ES2_LANES and the defaults. A fast
+        // it between ES2_THREADS=1 and the default thread count. A fast
         // run must not clobber the committed full-window
         // BENCH_telemetry.json.
         print!("{report}");
@@ -244,12 +248,8 @@ fn main() {
         } else {
             "BENCH_telemetry.json"
         };
-        for (p, content) in [(path, &json), ("target/BENCH_telemetry_chrome.json", &chrome)] {
-            match std::fs::write(p, content) {
-                Ok(()) => eprintln!("wrote {p}"),
-                Err(e) => eprintln!("could not write {p}: {e}"),
-            }
-        }
+        write_artifact(path, &json);
+        write_artifact("target/BENCH_telemetry_chrome.json", &chrome);
         dump_ev_profile();
         return;
     }
@@ -263,7 +263,7 @@ fn main() {
         let (report, json) = mq::mq_report(params, SEED, fast);
         // Only the deterministic report goes to stdout: verify.sh diffs
         // it between ES2_THREADS=1 and the default thread count (and
-        // across ES2_LANES / ES2_VHOST_WORKERS). A fast run must not
+        // across ES2_VHOST_WORKERS). A fast run must not
         // clobber the committed full-window BENCH_mq.json.
         print!("{report}");
         let path = if fast {
@@ -271,10 +271,7 @@ fn main() {
         } else {
             "BENCH_mq.json"
         };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, &json);
         dump_ev_profile();
         return;
     }
@@ -296,10 +293,7 @@ fn main() {
         } else {
             "BENCH_hostile.json"
         };
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(path, &json);
         dump_ev_profile();
         return;
     }
@@ -309,19 +303,15 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
+    if let Some(other) = what
+        .iter()
+        .find(|w| **w != "all" && !EXPERIMENTS.contains(w))
+    {
+        eprintln!("unknown experiment: {other}");
+        std::process::exit(2);
+    }
     if what.is_empty() || what.contains(&"all") {
-        what = vec![
-            "table1",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "sriov",
-            "ablations",
-            "chaos",
-        ];
+        what = EXPERIMENTS.to_vec();
     }
 
     // --traced: flight recorder on, output unchanged — the figures must
@@ -390,7 +380,7 @@ fn main() {
                 };
                 println!("{}", render_ablations(p, SEED));
             }
-            other => eprintln!("unknown experiment: {other}"),
+            _ => unreachable!("experiment names are checked above"),
         }
     }
 }

@@ -17,7 +17,7 @@
 use es2_core::EventPathConfig;
 use es2_sim::FaultPlan;
 use es2_testbed::experiments::{self};
-use es2_testbed::{BackpressureParams, Params, RunResult, ShardedMachine, Topology, WorkloadSpec};
+use es2_testbed::{BackpressureParams, Machine, Params, RunResult, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 use crate::perf::json_f;
@@ -58,8 +58,9 @@ fn run_pair(cfg: EventPathConfig, params: Params, seed: u64) -> HostileCell {
         v
     };
     let (clean, clean_live) =
-        ShardedMachine::auto(cfg, topo, specs(), params, seed, FaultPlan::none()).run_checked();
-    let (hostile, hostile_live) = ShardedMachine::auto(
+        Machine::with_specs_faulted(cfg, topo, specs(), params, seed, FaultPlan::none())
+            .run_checked();
+    let (hostile, hostile_live) = Machine::with_specs_faulted(
         cfg,
         topo,
         specs(),

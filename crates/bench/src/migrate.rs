@@ -10,7 +10,7 @@
 //! migration aborted mid-copy with rollback.
 //!
 //! Everything in the stdout report is simulation-determined, so its
-//! bytes must not depend on `ES2_THREADS` or `ES2_LANES` — `verify.sh`
+//! bytes must not depend on `ES2_THREADS` — `verify.sh`
 //! diffs the serial and parallel outputs. The JSON (committed as
 //! `BENCH_migrate.json` for full windows) carries the same cells.
 

@@ -19,14 +19,14 @@
 //!   `ES2_VHOST_WORKERS`, proving the env knob reaches the pool.
 //!
 //! Stdout is simulation-determined (no wall-clock), so `verify.sh`
-//! diffs it across `ES2_THREADS`/`ES2_LANES`/`ES2_VHOST_WORKERS`
+//! diffs it across `ES2_THREADS`/`ES2_VHOST_WORKERS`
 //! combinations; the committed `BENCH_mq.json` carries the full-window
 //! cells, including the headline comparison: passthrough rx p99 vs the
 //! single-worker mux at the densest cell.
 
 use es2_core::EventPathConfig;
 use es2_sim::FaultPlan;
-use es2_testbed::{Params, RunResult, ShardPolicy, ShardedMachine, Topology, WorkloadSpec};
+use es2_testbed::{Machine, Params, RunResult, ShardPolicy, Topology, WorkloadSpec};
 use es2_workloads::NetperfSpec;
 
 use crate::perf::json_f;
@@ -93,9 +93,15 @@ fn run_cell(
     let mut specs = vec![WorkloadSpec::IdleQuiet; vms as usize];
     specs[0] = WorkloadSpec::Netperf(NetperfSpec::tcp_send(1024).with_threads(2));
     let effective_workers = params.effective_vhost_workers() as u32;
-    let (result, live) =
-        ShardedMachine::auto(EventPathConfig::pi_h_r(4), topo, specs, params, seed, FaultPlan::none())
-            .run_checked();
+    let (result, live) = Machine::with_specs_faulted(
+        EventPathConfig::pi_h_r(4),
+        topo,
+        specs,
+        params,
+        seed,
+        FaultPlan::none(),
+    )
+    .run_checked();
     MqCell {
         vms,
         queues,

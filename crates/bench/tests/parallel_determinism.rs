@@ -40,20 +40,4 @@ fn rendered_tables_identical_at_1_2_and_8_threads() {
             "fig9 table diverged at {threads} threads"
         );
     }
-
-    // Same contract with the runs lane-sharded (fig9's multiplexed
-    // topology splits into 4 per-VM lanes): thread count must still not
-    // change a byte. Note the lane count itself is a model parameter —
-    // sharded tables are only compared with equally-sharded ones. Kept
-    // in this test fn because the overrides are process-global.
-    es2_sim::exec::set_lanes(Some(4));
-    let (_, fig9_lane_serial) = render(1);
-    for threads in [2usize, 8] {
-        let (_, fig9) = render(threads);
-        assert_eq!(
-            fig9, fig9_lane_serial,
-            "lane-sharded fig9 table diverged at {threads} threads"
-        );
-    }
-    es2_sim::exec::set_lanes(None);
 }

@@ -3,15 +3,12 @@
 //! This crate reproduces the *measurement methodology* of the paper's
 //! evaluation (§VI):
 //!
-//! * [`counter`] — event counters and per-second rates (the `perf-kvm`
-//!   style exit statistics of Table I / Fig. 5),
 //! * [`tig`] — time-in-guest accounting ("calculated by summing up the time
 //!   of each VM entry and exit, and then dividing the result by the total
 //!   elapsed time"),
 //! * [`histogram`] — log-linear latency histograms (ping RTT, connection
 //!   times),
 //! * [`summary`] — streaming mean/variance/min/max (Welford),
-//! * [`timeseries`] — sampled `(time, value)` series (Fig. 7's RTT trace),
 //! * [`span`] — the event-path flight recorder: per-interrupt causal
 //!   spans with stage-level latency attribution (`repro --trace`),
 //! * [`telemetry`] — the windowed telemetry pipeline: fixed-width
@@ -23,7 +20,6 @@
 //!   deferred poll budget, quarantines) for the hostile-guest experiments.
 
 pub mod backpressure;
-pub mod counter;
 pub mod ev_profile;
 pub mod histogram;
 pub mod modes;
@@ -32,10 +28,8 @@ pub mod summary;
 pub mod table;
 pub mod telemetry;
 pub mod tig;
-pub mod timeseries;
 
 pub use backpressure::BackpressureStats;
-pub use counter::{Counter, RateWindow};
 pub use histogram::Histogram;
 pub use modes::{ModeAccounting, VmModeCounts};
 pub use span::{SpanNotes, SpanRecorder, SpanReport, Stage};
@@ -46,4 +40,3 @@ pub use telemetry::{
     TelemetryReport,
 };
 pub use tig::TigAccount;
-pub use timeseries::TimeSeries;

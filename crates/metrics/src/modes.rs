@@ -76,13 +76,6 @@ impl ModeAccounting {
         t
     }
 
-    /// Append another ledger's VMs after this one's (lane merging: lane
-    /// `k`'s VM 0 becomes global VM `base_k`, so concatenating ledgers
-    /// in lane order reconstructs the global per-VM indexing).
-    pub fn append(&mut self, other: &ModeAccounting) {
-        self.per_vm.extend_from_slice(&other.per_vm);
-    }
-
     /// Remove and return `vm`'s row, leaving zeros behind (live migration:
     /// the ledger travels with the VM; the vacated slot starts fresh).
     pub fn take_vm(&mut self, vm: usize) -> VmModeCounts {

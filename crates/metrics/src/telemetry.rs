@@ -10,14 +10,6 @@
 //! Windows are assigned *at record time* (`window = now_ns / width_ns`);
 //! no window-boundary events are ever scheduled, so the event stream of
 //! the simulation is untouched.
-//!
-//! Lane merging: [`TelemetryReport::absorb`] concatenates per-VM rows in
-//! lane order (contiguous VM blocks) over the *union* of window indices,
-//! zero-filling rows for windows a lane never touched, and re-sorts the
-//! annotation stream by `(time, vm, kind, arg)`. Because every gauge is
-//! derived from per-VM events that do not depend on the lane partition,
-//! the merged report — and the JSON rendered from it — is byte-identical
-//! across `ES2_LANES` counts, not just serial-vs-parallel.
 
 use crate::span::SpanReport;
 
@@ -62,13 +54,12 @@ pub fn quantile_from_buckets(buckets: &[u64; RX_BUCKETS], count: u64, max_ns: u6
 }
 
 /// Static geometry of one recorder: window width plus the shape of the
-/// per-window row vectors. Lane merges require everything but `num_vms`
-/// to match.
+/// per-window row vectors. Host overlays require all of it to match.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TelemetryGeometry {
     /// Window width in sim-time nanoseconds.
     pub width_ns: u64,
-    /// VMs covered by this recorder (a lane's block, or the whole host).
+    /// VMs covered by this recorder (the host's whole VM slot table).
     pub num_vms: usize,
     /// Vhost workers per VM (worker rows per VM per window).
     pub workers_per_vm: usize,
@@ -149,8 +140,8 @@ pub struct WorkerWin {
     pub turns: u64,
 }
 
-/// One telemetry window: gauges for every VM and worker, dense so lane
-/// merges stay positional.
+/// One telemetry window: gauges for every VM and worker, dense so host
+/// overlays stay positional.
 #[derive(Clone, Debug)]
 pub struct Window {
     /// Window index (`start = idx * width_ns`).
@@ -184,7 +175,7 @@ impl Annotation {
     }
 }
 
-/// The windowed telemetry recorder. One per machine (or per lane); all
+/// The windowed telemetry recorder. One per machine; all
 /// hooks take raw sim-time nanoseconds and update the window the instant
 /// falls into. Intervals (guest residency, worker on-core time) are
 /// sliced across every window they overlap.
@@ -405,7 +396,7 @@ impl TelemetryRecorder {
     }
 
     /// Finish recording and produce the immutable report. Annotations
-    /// are sorted by `(time, vm, kind, arg)` so serial and lane-merged
+    /// are sorted by `(time, vm, kind, arg)` so serial and host-overlaid
     /// runs render identically.
     pub fn finish(self) -> TelemetryReport {
         let mut annotations = self.annotations;
@@ -422,7 +413,7 @@ impl TelemetryRecorder {
 /// Everything one run's telemetry recorder measured.
 #[derive(Clone, Debug)]
 pub struct TelemetryReport {
-    /// Recorder geometry (after lane merges, `num_vms` is the total).
+    /// Recorder geometry.
     pub geom: TelemetryGeometry,
     /// Occupied windows in ascending index order (untouched windows are
     /// absent; treat them as all-zero).
@@ -434,78 +425,11 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Merge another lane's report after this one (contiguous VM
-    /// blocks, lane order): per-VM and per-worker rows concatenate
-    /// positionally over the union of window indices (zero-filled where
-    /// a lane never touched a window), annotations re-sort with
-    /// `vm_offset` applied.
-    pub fn absorb(&mut self, other: TelemetryReport, vm_offset: u32) {
-        assert_eq!(self.geom.width_ns, other.geom.width_ns, "window width");
-        assert_eq!(
-            self.geom.workers_per_vm, other.geom.workers_per_vm,
-            "workers per vm"
-        );
-        assert_eq!(
-            self.geom.queues_per_vm, other.geom.queues_per_vm,
-            "queues per vm"
-        );
-        assert_eq!(self.geom.exit_kinds, other.geom.exit_kinds, "exit kinds");
-
-        let a_geom = self.geom;
-        let b_geom = other.geom;
-        let mut merged = Vec::with_capacity(self.windows.len().max(other.windows.len()));
-        let mut a = std::mem::take(&mut self.windows).into_iter().peekable();
-        let mut b = other.windows.into_iter().peekable();
-        loop {
-            let take = match (a.peek(), b.peek()) {
-                (None, None) => break,
-                (Some(_), None) => 0,
-                (None, Some(_)) => 1,
-                (Some(x), Some(y)) => match x.idx.cmp(&y.idx) {
-                    std::cmp::Ordering::Less => 0,
-                    std::cmp::Ordering::Greater => 1,
-                    std::cmp::Ordering::Equal => 2,
-                },
-            };
-            let (idx, aw, bw) = match take {
-                0 => {
-                    let w = a.next().expect("peeked");
-                    (w.idx, Some(w), None)
-                }
-                1 => {
-                    let w = b.next().expect("peeked");
-                    (w.idx, None, Some(w))
-                }
-                _ => {
-                    let wa = a.next().expect("peeked");
-                    let wb = b.next().expect("peeked");
-                    (wa.idx, Some(wa), Some(wb))
-                }
-            };
-            let wa = aw.unwrap_or_else(|| TelemetryRecorder::blank_window(&a_geom, idx));
-            let wb = bw.unwrap_or_else(|| TelemetryRecorder::blank_window(&b_geom, idx));
-            let mut vms = wa.vms;
-            vms.extend(wb.vms);
-            let mut workers = wa.workers;
-            workers.extend(wb.workers);
-            merged.push(Window { idx, vms, workers });
-        }
-        self.windows = merged;
-        self.geom.num_vms += b_geom.num_vms;
-        self.annotations.extend(other.annotations.into_iter().map(|mut an| {
-            an.vm += vm_offset;
-            an
-        }));
-        self.annotations.sort_by_key(|an| an.sort_key());
-        self.ann_dropped += other.ann_dropped;
-    }
-
     /// Merge another host's report over the **same** global VM slot
     /// table (the cluster topology: every host carries every slot, a VM
     /// is active on exactly one host at a time). Cells sum (maxima take
     /// the max) over the union of window indices; annotations merge
-    /// without any VM offset. Contrast [`absorb`](Self::absorb), which
-    /// concatenates disjoint VM blocks.
+    /// without any VM offset.
     pub fn overlay(&mut self, other: TelemetryReport) {
         assert_eq!(self.geom, other.geom, "overlay requires equal geometry");
         let geom = self.geom;
@@ -1094,31 +1018,6 @@ mod tests {
         assert_eq!(rep.fleet_rx_quantile_us(w, 0.5), 16.0);
         assert_eq!(rep.fleet_rx_quantile_us(w, 0.99), 16.0);
         assert_eq!(rep.fleet_rx_quantile_us(w, 1.0), 700.0);
-    }
-
-    #[test]
-    fn absorb_concatenates_rows_and_zero_fills() {
-        let mut a = TelemetryRecorder::new(geom(1), 16);
-        a.record_exit(0, 0, 100);
-        a.annotate(100, 0, "quarantine", 1);
-        let mut b = TelemetryRecorder::new(geom(1), 16);
-        b.record_exit(0, 1, 1_500_000); // window 1 only
-        b.annotate(50, 0, "pi-degrade", 2);
-        let mut rep = a.finish();
-        rep.absorb(b.finish(), 1);
-        assert_eq!(rep.geom.num_vms, 2);
-        assert_eq!(rep.windows.len(), 2);
-        // Window 0: lane A's VM has the exit, lane B's row is zero.
-        assert_eq!(rep.windows[0].vms[0].exits[0], 1);
-        assert_eq!(rep.windows[0].vms[1].exits_total(), 0);
-        // Window 1: lane A's row is zero-filled, lane B's has the exit.
-        assert_eq!(rep.windows[1].vms[0].exits_total(), 0);
-        assert_eq!(rep.windows[1].vms[1].exits[1], 1);
-        assert_eq!(rep.windows[1].workers.len(), 4);
-        // Annotations re-sorted by time with the offset applied.
-        assert_eq!(rep.annotations[0].kind, "pi-degrade");
-        assert_eq!(rep.annotations[0].vm, 1);
-        assert_eq!(rep.annotations[1].kind, "quarantine");
     }
 
     #[test]

@@ -28,42 +28,15 @@ use std::sync::OnceLock;
 /// Programmatic thread-count override; 0 means "unset".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Programmatic lane-count override; 0 means "unset".
-static LANE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the number of event lanes a single run is sharded into
-/// (see [`crate::lane`]). `None` restores the default resolution (the
-/// `ES2_LANES` environment variable, then 1). Unlike the thread count,
-/// the lane count is a *model* parameter: it changes how simulation
-/// state is partitioned, so results are comparable only at equal lane
-/// counts — which is why the default is 1 (the legacy unsharded
-/// machine), not the core count.
+/// Kept for perfbench's API: a single-host run is one machine, so the
+/// only lane count is one. `None` and `Some(1)` are accepted; any other
+/// count panics, so a request for intra-host lanes fails loudly instead
+/// of being silently ignored.
 pub fn set_lanes(n: Option<usize>) {
-    LANE_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
-}
-
-/// The number of event lanes a run over `vms` VMs is sharded into:
-/// the [`set_lanes`] override, else `ES2_LANES`, else 1 — clamped to
-/// the VM count (a lane must own at least one VM).
-pub fn effective_lanes(vms: usize) -> usize {
-    let configured = match LANE_OVERRIDE.load(Ordering::SeqCst) {
-        0 => env_lanes(),
-        n => n,
-    };
-    configured.clamp(1, vms.max(1))
-}
-
-/// `ES2_LANES` resolution, parsed once per process (same rationale as
-/// [`env_threads`]).
-fn env_lanes() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("ES2_LANES") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => 1,
-        },
-        Err(_) => 1,
-    })
+    assert!(
+        matches!(n, None | Some(1)),
+        "intra-host lanes were removed: set_lanes accepts only None or Some(1), got {n:?}"
+    );
 }
 
 /// Programmatic vhost-worker-count override; 0 means "unset".
@@ -71,11 +44,11 @@ static VHOST_WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Override the number of vhost workers each device's backend is
 /// sharded into. `None` restores the default resolution (the
-/// `ES2_VHOST_WORKERS` environment variable, then 1). Like the lane
-/// count — and unlike the thread count — this is a *model* parameter:
-/// it changes how queue handlers are partitioned across backend
-/// threads, so results are comparable only at equal worker counts. The
-/// default of 1 is the legacy single-worker mux.
+/// `ES2_VHOST_WORKERS` environment variable, then 1). Unlike the thread
+/// count, this is a *model* parameter: it changes how queue handlers
+/// are partitioned across backend threads, so results are comparable
+/// only at equal worker counts. The default of 1 is the legacy
+/// single-worker mux.
 pub fn set_vhost_workers(n: Option<usize>) {
     VHOST_WORKER_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
 }
@@ -258,18 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_override_caps_at_vm_count() {
-        let _g = OVERRIDE_LOCK.lock().unwrap();
-        set_lanes(Some(8));
-        assert_eq!(effective_lanes(128), 8);
-        assert_eq!(effective_lanes(4), 4);
-        assert_eq!(effective_lanes(0), 1);
+    fn set_lanes_accepts_only_one_lane() {
         set_lanes(None);
-        // Default (no env override in the test environment): legacy
-        // single-lane machine.
-        if std::env::var("ES2_LANES").is_err() {
-            assert_eq!(effective_lanes(128), 1);
-        }
+        set_lanes(Some(1));
+        assert!(std::panic::catch_unwind(|| set_lanes(Some(4))).is_err());
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::collections::BinaryHeap;
 use es2_sim::{FaultInjector, SimDuration, SimTime};
 
 use crate::cluster::{best_fit, evacuation_target, percentile_ns, ClusterSpec, PlannedMove, Timeline};
-use crate::lanes::CROSS_LANE_LOOKAHEAD;
+use crate::cluster::CROSS_LANE_LOOKAHEAD;
 use crate::params::ChurnSpec;
 use crate::workload::WorkloadSpec;
 

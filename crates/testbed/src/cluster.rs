@@ -50,13 +50,18 @@ use es2_sim::lane::{run_lanes, run_lanes_parallel, run_lanes_serial, LaneSim, Ou
 use es2_sim::{FaultInjector, FaultPlan, SimDuration, SimTime};
 
 use crate::churn::{self, Call, ChurnLedger};
-use crate::lanes::CROSS_LANE_LOOKAHEAD;
 use crate::liveness::{self, LivenessReport};
 use crate::machine::{Machine, Topology};
 use crate::migrate::{CrossOut, MigCosts, MigLedger, VmSnapshot};
 use crate::params::{ChurnSpec, Params};
 use crate::results::RunResult;
 use crate::workload::WorkloadSpec;
+
+/// Minimum cross-host latency: the external link's propagation delay
+/// (`Link::forty_gbe()` — 1 µs). A packet or migration message leaving
+/// a host at `t` cannot reach another host before `t + 1 µs`, which is
+/// the lookahead every cluster lane declares.
+pub const CROSS_LANE_LOOKAHEAD: SimDuration = SimDuration::from_micros(1);
 
 /// A requested live migration: pause `vm` at `at` and move it to host
 /// `to`. The source is wherever the VM lives at `at`.
@@ -279,9 +284,8 @@ impl LaneSim for HostLane {
     }
 }
 
-/// SplitMix64 host-seed derivation; host 0 keeps the run seed (the same
-/// discipline as lane sharding, so a 1-host cell with no moves is the
-/// plain machine's RNG universe).
+/// SplitMix64 host-seed derivation; host 0 keeps the run seed, so a
+/// 1-host cell with no moves is the plain machine's RNG universe.
 fn host_seed(seed: u64, host: usize) -> u64 {
     if host == 0 {
         return seed;

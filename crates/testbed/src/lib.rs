@@ -37,7 +37,6 @@ pub mod experiments;
 mod external;
 mod guest;
 mod host;
-pub mod lanes;
 pub mod liveness;
 pub mod machine;
 pub mod migrate;
@@ -49,9 +48,8 @@ pub mod workload;
 
 pub use churn::ChurnLedger;
 pub use cluster::{Cluster, ClusterResult, ClusterSpec, PlannedMove};
-pub use lanes::ShardedMachine;
 pub use liveness::LivenessReport;
-pub use machine::{Machine, Topology, EV_KIND_NAMES};
+pub use machine::{Machine, ShardedMachine, Topology, EV_KIND_NAMES};
 pub use migrate::{MigCosts, MigLedger};
 pub use es2_virtio::ShardPolicy;
 pub use params::{BackpressureParams, ChurnSpec, Params};

@@ -511,6 +511,10 @@ impl Ev {
     }
 }
 
+/// A single-host run. Kept for perfbench's API: one host is one
+/// [`Machine`].
+pub type ShardedMachine = Machine;
+
 /// The full simulated testbed.
 pub struct Machine {
     pub(crate) p: Params,
@@ -1073,13 +1077,24 @@ impl Machine {
         RunResult::collect(self)
     }
 
+    /// [`run`](Self::run). Kept for perfbench's API.
+    pub fn run_serial(self) -> RunResult {
+        self.run()
+    }
+
+    /// [`run`](Self::run); one host has one event lane, so `_threads`
+    /// is unused. Kept for perfbench's API.
+    pub fn run_parallel(self, _threads: usize) -> RunResult {
+        self.run()
+    }
+
     /// Pop and dispatch exactly one event. Returns `false` once the run
     /// is over — queue drained or the first event past `end_time`
     /// reached (the clock still advances to that event, exactly as the
     /// old inline run loop behaved). This is the single-step form the
-    /// lane executor drives; the run loops above are its trivial
-    /// clients, so serial and lane-sharded execution share one
-    /// event-dispatch semantics by construction.
+    /// cluster's host-lane executor drives; the run loops above are its
+    /// trivial clients, so a standalone machine and a cluster host
+    /// share one event-dispatch semantics by construction.
     pub(crate) fn step_one(&mut self) -> bool {
         match self.q.pop() {
             None => false,
@@ -1096,14 +1111,14 @@ impl Machine {
         }
     }
 
-    /// Time of the next pending event, if any (lane scheduling).
+    /// Time of the next pending event, if any (host-lane scheduling).
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
         self.q.peek_time()
     }
 
-    /// Accept a packet arriving from another lane at `at`: it enters
+    /// Accept a packet arriving from another host at `at`: it enters
     /// this machine's world exactly like a wire arrival, queued for the
-    /// local `vm`'s host backlog. The lane executor guarantees `at` is
+    /// local `vm`'s host backlog. The host-lane executor guarantees `at` is
     /// not in this machine's past and delivers same-time arrivals in a
     /// deterministic `(time, sender, sender_seq)` order.
     pub(crate) fn receive_cross(&mut self, at: SimTime, vm: u32, pkt: Packet) {

@@ -366,7 +366,7 @@ impl Machine {
                         // against the stale location timeline.
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::GuestPkt { vm, at, pkt });
                     None
                 } else {
@@ -380,7 +380,7 @@ impl Machine {
                     if m.reclaimed[vm as usize] {
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::ExtPkt { vm, at, pkt });
                     None
                 } else {
@@ -398,7 +398,7 @@ impl Machine {
                     if m.reclaimed[vmi] {
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::StaleMsi { vm, at, vector });
                     None
                 } else {
@@ -420,7 +420,7 @@ impl Machine {
                     if m.reclaimed[vmi] {
                         return None;
                     }
-                    let at = now + crate::lanes::CROSS_LANE_LOOKAHEAD;
+                    let at = now + crate::cluster::CROSS_LANE_LOOKAHEAD;
                     m.cross_out.push(CrossOut::StaleMsi { vm, at, vector });
                     None
                 } else {

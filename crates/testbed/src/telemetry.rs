@@ -17,7 +17,7 @@ use es2_metrics::telemetry::{TelemetryGeometry, TelemetryRecorder, TelemetryRepo
 /// with drops counted in the report.
 const ANN_CAPACITY: usize = 65_536;
 
-/// Per-machine (or per-lane) telemetry collector; owned by `Machine`
+/// Per-machine telemetry collector; owned by `Machine`
 /// when telemetry is on.
 #[derive(Clone, Debug)]
 pub(crate) struct TelemetryHooks {

@@ -28,7 +28,7 @@ fn at_ms(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
-/// A 1-host cell with no moves and no faults is the standalone sharded
+/// A 1-host cell with no moves and no faults is the standalone
 /// machine, byte for byte — enrolling a machine into a cluster must not
 /// perturb a run that never migrates (the no-neighbor-regression gate).
 #[test]
@@ -51,7 +51,6 @@ fn one_host_cell_matches_standalone_run() {
         faults: FaultPlan::none(),
         fill: WorkloadSpec::Ping,
     }
-    .sharded_with(1)
     .run();
     assert_eq!(
         format!("{:?}", cell.per_host[0].result),

@@ -97,55 +97,12 @@ head -n "$(wc -l < ci/golden_chaos_fast.txt)" /tmp/es2_chaos_now.txt \
 grep -q "cell liveness: PASS" /tmp/es2_chaos_now.txt
 rm -f /tmp/es2_chaos_now.txt
 
-# Lane-sharded determinism: at every lane count, the windowed parallel
-# lane executor must produce byte-identical reports to the serial oracle
-# (ES2_THREADS=1 runs the lanes serially; the default runs them on
-# worker threads under the bounded-window protocol). The lane count
-# itself is a model parameter — each ES2_LANES value is a differently
-# partitioned host — so reports are only compared at equal lane counts.
-for lanes in 1 4 8; do
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro chaos --fast > /tmp/es2_lane_serial.txt
-    ES2_LANES=$lanes ./target/release/repro chaos --fast > /tmp/es2_lane_default.txt
-    cmp /tmp/es2_lane_serial.txt /tmp/es2_lane_default.txt
-    grep -q "liveness: PASS" /tmp/es2_lane_serial.txt
-
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro --scale --fast > /tmp/es2_lane_serial.txt
-    ES2_LANES=$lanes ./target/release/repro --scale --fast > /tmp/es2_lane_default.txt
-    cmp /tmp/es2_lane_serial.txt /tmp/es2_lane_default.txt
-    grep -q "PASS (0 violations)" /tmp/es2_lane_serial.txt
-
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro --trace --fast > /tmp/es2_lane_serial.txt
-    ES2_LANES=$lanes ./target/release/repro --trace --fast > /tmp/es2_lane_default.txt
-    cmp /tmp/es2_lane_serial.txt /tmp/es2_lane_default.txt
-
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro --hostile --fast > /tmp/es2_lane_serial.txt
-    ES2_LANES=$lanes ./target/release/repro --hostile --fast > /tmp/es2_lane_default.txt
-    cmp /tmp/es2_lane_serial.txt /tmp/es2_lane_default.txt
-    grep -q "liveness: PASS" /tmp/es2_lane_serial.txt
-    grep -q "leaked to neighbors: 0" /tmp/es2_lane_serial.txt
-
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro --migrate --fast > /tmp/es2_lane_serial.txt
-    ES2_LANES=$lanes ./target/release/repro --migrate --fast > /tmp/es2_lane_default.txt
-    cmp /tmp/es2_lane_serial.txt /tmp/es2_lane_default.txt
-    grep -q "PASS" /tmp/es2_lane_serial.txt
-done
-rm -f /tmp/es2_lane_serial.txt /tmp/es2_lane_default.txt
-
-# Flight-recorder compatibility under sharding: traced lane-parallel
-# runs must be byte-identical to untraced at a multi-lane count (the
-# per-lane tracers only observe; their reports merge deterministically).
-ES2_LANES=4 ./target/release/repro chaos --fast > /tmp/es2_lane_untraced.txt
-ES2_LANES=4 ./target/release/repro chaos --fast --traced > /tmp/es2_lane_traced.txt
-cmp /tmp/es2_lane_untraced.txt /tmp/es2_lane_traced.txt
-rm -f /tmp/es2_lane_untraced.txt /tmp/es2_lane_traced.txt
-
 # Tenant-churn determinism: the churn control-plane report (admission
 # rates, retry/backoff outcomes, boot p99, conservation results) is
 # built from simulation-determined quantities only, so it must be
-# byte-identical serial (ES2_THREADS=1) vs the default thread count and
-# at every lane count — the lifecycle engine compiles the whole
-# arrival/departure/fault schedule before the machines run, so lane
-# partitioning cannot reorder it. The report must stay liveness-clean
+# byte-identical serial (ES2_THREADS=1) vs the default thread count —
+# the lifecycle engine compiles the whole arrival/departure/fault
+# schedule before the machines run. The report must stay liveness-clean
 # with zero orphaned resources in every cell.
 ES2_THREADS=1 ./target/release/repro --churn --fast > /tmp/es2_churn_serial.txt
 ./target/release/repro --churn --fast > /tmp/es2_churn_default.txt
@@ -155,24 +112,7 @@ if grep -q "FAIL" /tmp/es2_churn_serial.txt; then
     echo "churn sweep reported a liveness failure" >&2
     exit 1
 fi
-for lanes in 1 4 8; do
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro --churn --fast > /tmp/es2_churn_serial.txt
-    ES2_LANES=$lanes ./target/release/repro --churn --fast > /tmp/es2_churn_default.txt
-    cmp /tmp/es2_churn_serial.txt /tmp/es2_churn_default.txt
-    grep -q "PASS" /tmp/es2_churn_serial.txt
-done
 rm -f /tmp/es2_churn_serial.txt /tmp/es2_churn_default.txt
-
-# Churn-off byte-identity: with no ChurnSpec in play, the chaos report
-# (whose plans never enable churn) must still reproduce the committed
-# golden prefix exactly — the churn machinery costs churn-free runs
-# zero bytes. This is the same golden the multi-host and multi-queue
-# gates pin; it is asserted again here so a churn regression cannot
-# hide behind those earlier cmps being reordered or removed.
-./target/release/repro chaos --fast > /tmp/es2_churn_off.txt
-head -n "$(wc -l < ci/golden_chaos_fast.txt)" /tmp/es2_churn_off.txt \
-    | cmp ci/golden_chaos_fast.txt -
-rm -f /tmp/es2_churn_off.txt
 
 # Guest trust boundary: the vhost backend's non-test code must stay free
 # of unwrap() on guest-reachable state — a hostile ring surfaces a typed
@@ -185,29 +125,25 @@ fi
 # Bench regression gate: structured tolerance bands over the committed
 # BENCH_*.json artifacts (ci/bench_gate.rs). Everything sim-determined
 # is fatal here — this replaces the former non-fatal awk tripwires for
-# in_run_speedup, migration blackout, and the mq passthrough/mux ratio.
+# migration blackout and the mq passthrough/mux ratio.
 # The one wall-clock metric (fresh fast-sweep events/sec vs the
 # committed 2x-margined floor) stays a warning inside the gate.
 ./target/release/bench_gate
 
 # Multi-queue determinism: the sharded-vhost sweep report must be
 # byte-identical serial (ES2_THREADS=1) vs the default thread count at
-# every ES2_LANES x ES2_VHOST_WORKERS combination — worker count and
-# shard policy are model parameters, so reports are only compared
-# within one env combination, never across two.
-for lanes in 1 4; do
-    for vw in 1 4; do
-        ES2_LANES=$lanes ES2_VHOST_WORKERS=$vw ES2_THREADS=1 \
-            ./target/release/repro --mq --fast > /tmp/es2_mq_serial.txt
-        ES2_LANES=$lanes ES2_VHOST_WORKERS=$vw \
-            ./target/release/repro --mq --fast > /tmp/es2_mq_default.txt
-        cmp /tmp/es2_mq_serial.txt /tmp/es2_mq_default.txt
-        grep -q "PASS" /tmp/es2_mq_serial.txt
-        if grep -q "FAIL" /tmp/es2_mq_serial.txt; then
-            echo "mq sweep reported a liveness failure (lanes=$lanes workers=$vw)" >&2
-            exit 1
-        fi
-    done
+# every ES2_VHOST_WORKERS setting — worker count and shard policy are
+# model parameters, so reports are only compared within one setting,
+# never across two.
+for vw in 1 4; do
+    ES2_VHOST_WORKERS=$vw ES2_THREADS=1 ./target/release/repro --mq --fast > /tmp/es2_mq_serial.txt
+    ES2_VHOST_WORKERS=$vw ./target/release/repro --mq --fast > /tmp/es2_mq_default.txt
+    cmp /tmp/es2_mq_serial.txt /tmp/es2_mq_default.txt
+    grep -q "PASS" /tmp/es2_mq_serial.txt
+    if grep -q "FAIL" /tmp/es2_mq_serial.txt; then
+        echo "mq sweep reported a liveness failure (workers=$vw)" >&2
+        exit 1
+    fi
 done
 rm -f /tmp/es2_mq_serial.txt /tmp/es2_mq_default.txt
 
@@ -221,19 +157,14 @@ head -n "$(wc -l < ci/golden_chaos_fast.txt)" /tmp/es2_mq_1q1w.txt \
 rm -f /tmp/es2_mq_1q1w.txt
 
 # Telemetry determinism: the windowed fleet-telemetry report (stdout
-# and JSON) is built from sim-time quantities only, so at every lane
-# count it must be byte-identical between the serial oracle
-# (ES2_THREADS=1) and the windowed parallel executor. As everywhere
-# else, the lane count is a model parameter: reports are only compared
-# at equal lane counts, never across two.
-for lanes in 1 4 8; do
-    ES2_LANES=$lanes ES2_THREADS=1 ./target/release/repro --telemetry --fast > /tmp/es2_tel_serial.txt
-    cp target/BENCH_telemetry_fast.json /tmp/es2_tel_serial.json
-    ES2_LANES=$lanes ./target/release/repro --telemetry --fast > /tmp/es2_tel_default.txt
-    cmp /tmp/es2_tel_serial.txt /tmp/es2_tel_default.txt
-    cmp /tmp/es2_tel_serial.json target/BENCH_telemetry_fast.json
-    grep -q "SLO breaches" /tmp/es2_tel_serial.txt
-done
+# and JSON) is built from sim-time quantities only, so it must be
+# byte-identical serial (ES2_THREADS=1) vs the default thread count.
+ES2_THREADS=1 ./target/release/repro --telemetry --fast > /tmp/es2_tel_serial.txt
+cp target/BENCH_telemetry_fast.json /tmp/es2_tel_serial.json
+./target/release/repro --telemetry --fast > /tmp/es2_tel_default.txt
+cmp /tmp/es2_tel_serial.txt /tmp/es2_tel_default.txt
+cmp /tmp/es2_tel_serial.json target/BENCH_telemetry_fast.json
+grep -q "SLO breaches" /tmp/es2_tel_serial.txt
 rm -f /tmp/es2_tel_serial.txt /tmp/es2_tel_default.txt /tmp/es2_tel_serial.json
 
 # Telemetry must not perturb the simulation: the chaos report is
