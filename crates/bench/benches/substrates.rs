@@ -128,7 +128,7 @@ fn hybrid(c: &mut Criterion) {
                 loop {
                     match h.poll_next(&mut vq) {
                         PollDecision::Process(_) => polled += 1,
-                        PollDecision::QuotaExhausted => break,
+                        PollDecision::QuotaExhausted | PollDecision::BudgetExhausted => break,
                         PollDecision::Drained => return black_box(polled),
                     }
                 }

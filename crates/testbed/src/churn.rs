@@ -39,7 +39,7 @@
 //! Every transition compiles to per-host machine calls (boot, depart,
 //! timeout rollback, observational note) with times strictly inside the
 //! run window, so the runtime side is an ordinary deterministic event
-//! diet and serial vs lane-parallel execution stays byte-identical.
+//! diet.
 //!
 //! # Compilation order
 //!
@@ -62,8 +62,8 @@ use crate::params::ChurnSpec;
 use crate::workload::WorkloadSpec;
 
 /// Everything the churn control plane accounts for over one compile.
-/// Entirely construction-time state: identical for serial and parallel
-/// runs by construction, surfaced on `ClusterResult` and in the digest.
+/// Entirely construction-time state, surfaced on `ClusterResult` and in
+/// the digest.
 #[derive(Clone, Debug, Default)]
 pub struct ChurnLedger {
     /// Arrivals whose first attempt landed inside the run window.

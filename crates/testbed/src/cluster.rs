@@ -1,4 +1,4 @@
-//! Multi-host cells: N [`Machine`] hosts as conservative event lanes,
+//! Multi-host cells: N [`Machine`] hosts as event lanes,
 //! a best-fit placement scheduler, live migration between hosts, and
 //! host-fault injection (crash, degraded host, migration abort).
 //!
@@ -26,27 +26,26 @@
 //!
 //! # Cross-host traffic and determinism
 //!
-//! Hosts exchange traffic through the [`es2_sim::lane`] mailboxes with
-//! the finite [`CROSS_LANE_LOOKAHEAD`] (ROADMAP item 1's windowed
-//! protocol, now exercised by real workloads: a migrated VM's external
-//! peer stays on its home host, so post-move guest↔peer traffic crosses
-//! lanes continuously in both directions). Every cluster decision —
-//! placement, crash times, abort draws, blackout lengths, message
-//! timestamps — is a pure function of `(spec, seed)`, so serial and
-//! windowed-parallel execution are byte-identical at any host count.
+//! Hosts exchange traffic through the [`es2_sim::lane`] mailboxes, no
+//! faster than [`CROSS_LANE_LOOKAHEAD`] (a migrated VM's external peer
+//! stays on its home host, so post-move guest↔peer traffic crosses
+//! lanes continuously in both directions). [`run_lanes`] merges the
+//! hosts' event streams serially on the calling thread. Every cluster
+//! decision — placement, crash times, abort draws, blackout lengths,
+//! message timestamps — is a pure function of `(spec, seed)`, so the
+//! report is byte-identical at any `ES2_THREADS`.
 //!
 //! A crashed host freezes at its crash instant: events at or after the
 //! crash time never dispatch, and arrivals at or after it are dropped.
-//! The accept/drop decision depends only on timestamps (never on
-//! executor scheduling), which is what keeps crash runs deterministic
-//! under parallel execution. In-flight events die with the host — a
-//! crash *loses* work (and any external peers it hosted for evacuated
-//! VMs); live migration by contrast loses nothing.
+//! The accept/drop decision depends only on timestamps, never on the
+//! order in which lanes are stepped. In-flight events die with the
+//! host — a crash *loses* work (and any external peers it hosted for
+//! evacuated VMs); live migration by contrast loses nothing.
 
 use std::sync::Arc;
 
 use es2_core::EventPathConfig;
-use es2_sim::lane::{run_lanes, run_lanes_parallel, run_lanes_serial, LaneSim, Outbox};
+use es2_sim::lane::{run_lanes, LaneSim, Outbox};
 use es2_sim::{FaultInjector, FaultPlan, SimDuration, SimTime};
 
 use crate::churn::{self, Call, ChurnLedger};
@@ -154,7 +153,7 @@ pub(crate) fn evacuation_target(free: &[u32], alive: &[bool]) -> Option<usize> {
 /// Piecewise-constant VM location maps, shared by every lane for
 /// routing cross-host messages. Built entirely at construction time
 /// (locations are a deterministic function of the spec), so routing a
-/// message is a read-only lookup — no cross-lane state races.
+/// message is a read-only lookup.
 pub(crate) struct Timeline {
     /// Per-VM `(since, host)` guest-location segments, time-ascending.
     guest: Vec<Vec<(SimTime, u32)>>,
@@ -198,7 +197,7 @@ enum HostMsg {
     Snapshot { vm: u32, snap: Box<VmSnapshot> },
 }
 
-/// One host of the cell as a conservative event lane.
+/// One host of the cell as an event lane.
 struct HostLane {
     m: Machine,
     host: u32,
@@ -234,7 +233,7 @@ impl LaneSim for HostLane {
         let t = self.m.next_event_time()?;
         // A crashed host's clock never reaches its crash instant: the
         // filter (rather than a sticky flag) keeps the lane's behavior a
-        // pure function of timestamps under any execution order.
+        // pure function of timestamps.
         if self.alive_at(t) {
             Some(t)
         } else {
@@ -244,7 +243,7 @@ impl LaneSim for HostLane {
 
     fn lookahead(&self) -> Option<SimDuration> {
         // Cluster lanes always have egress routes (migration, forwarded
-        // traffic), so they run the windowed protocol.
+        // traffic); every message they send is checked against the wire.
         Some(CROSS_LANE_LOOKAHEAD)
     }
 
@@ -277,7 +276,7 @@ impl LaneSim for HostLane {
     fn receive(&mut self, at: SimTime, msg: HostMsg) {
         if !self.alive_at(at) {
             // Arrivals at or after the crash instant are lost with the
-            // host. Timestamp-only, so serial and parallel agree.
+            // host. Timestamp-only, like the event filter above.
             return;
         }
         self.deliver_local(at, msg);
@@ -353,7 +352,7 @@ impl ClusterResult {
     }
 
     /// A stable, complete text digest of the run — the byte-identity
-    /// surface for serial-vs-parallel and traced-vs-untraced gates.
+    /// surface for thread-count and traced-vs-untraced gates.
     pub fn digest(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -621,24 +620,21 @@ impl Cluster {
         &self.placement
     }
 
-    /// Run under the executor config (serial oracle iff `ES2_THREADS=1`,
-    /// windowed parallel otherwise — identical bytes either way).
+    /// Run every host lane to completion on the calling thread.
     pub fn run(mut self) -> ClusterResult {
         run_lanes(&mut self.lanes);
         self.collect()
     }
 
-    /// Run with the serial oracle, regardless of config.
-    pub fn run_serial(mut self) -> ClusterResult {
-        run_lanes_serial(&mut self.lanes);
-        self.collect()
+    /// [`run`](Self::run). Kept for perfbench's API.
+    pub fn run_serial(self) -> ClusterResult {
+        self.run()
     }
 
-    /// Run with the windowed parallel executor at an explicit worker
-    /// count (identity-test hook).
-    pub fn run_parallel(mut self, threads: usize) -> ClusterResult {
-        run_lanes_parallel(&mut self.lanes, threads);
-        self.collect()
+    /// [`run`](Self::run); host lanes always run serially, so
+    /// `_threads` is unused. Kept for perfbench's API.
+    pub fn run_parallel(self, _threads: usize) -> ClusterResult {
+        self.run()
     }
 
     fn collect(self) -> ClusterResult {

@@ -1092,8 +1092,8 @@ impl Machine {
     /// is over — queue drained or the first event past `end_time`
     /// reached (the clock still advances to that event, exactly as the
     /// old inline run loop behaved). This is the single-step form the
-    /// cluster's host-lane executor drives; the run loops above are its
-    /// trivial clients, so a standalone machine and a cluster host
+    /// cluster's serial host-lane merge drives; the run loops above are
+    /// its trivial clients, so a standalone machine and a cluster host
     /// share one event-dispatch semantics by construction.
     pub(crate) fn step_one(&mut self) -> bool {
         match self.q.pop() {
@@ -1118,9 +1118,9 @@ impl Machine {
 
     /// Accept a packet arriving from another host at `at`: it enters
     /// this machine's world exactly like a wire arrival, queued for the
-    /// local `vm`'s host backlog. The host-lane executor guarantees `at` is
-    /// not in this machine's past and delivers same-time arrivals in a
-    /// deterministic `(time, sender, sender_seq)` order.
+    /// local `vm`'s host backlog. The serial host-lane merge delivers it
+    /// the moment the sender emits it, so `at` is never in this machine's
+    /// past, and orders same-time arrivals by `(time, sender, sender_seq)`.
     pub(crate) fn receive_cross(&mut self, at: SimTime, vm: u32, pkt: Packet) {
         self.q.push(at, Ev::ArriveAtHost { vm, pkt });
     }
@@ -1271,7 +1271,7 @@ impl Machine {
             Ev::VmBoot { vm } => self.on_vm_boot(vm),
             Ev::VmDepart { vm } => self.on_vm_depart(vm),
             Ev::BootTimeout { vm } => self.on_boot_timeout(vm),
-            Ev::ChurnNote { vm, kind, arg } => self.on_churn_note(vm, kind, arg),
+            Ev::ChurnNote { vm, kind, arg } => self.note(vm, kind, arg),
         }
     }
 
@@ -1641,6 +1641,16 @@ impl Machine {
         }
         self.tracer
             .record(self.now, "ring-corrupt", vm as u64, h.0 as u64);
+    }
+
+    /// Record one annotated fact: a breadcrumb in the flight recorder
+    /// and, when telemetry is on, a causal annotation at `now`.
+    /// Observational only — never touches RNG or VM state.
+    pub(crate) fn note(&mut self, vm: u32, kind: &'static str, arg: u64) {
+        self.tracer.record(self.now, kind, vm as u64, arg);
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.annotate(self.now.as_nanos(), vm, kind, arg);
+        }
     }
 
     /// Flight-recorder hook: a kick signal for `(vm, h)` is being queued.
@@ -2081,11 +2091,7 @@ impl Machine {
                 && !self.vms[vmi].cur_handler.contains(&Some(tx_h));
             if tx_stuck {
                 self.vms[vmi].watchdog_rekicks += 1;
-                self.tracer
-                    .record(self.now, "wd-rekick", vm as u64, tx_h.0 as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-rekick", tx_h.0 as u64);
-                }
+                self.note(vm, "wd-rekick", tx_h.0 as u64);
                 self.trace_kick_signal(vm, tx_h, crate::spans::KickOrigin::Watchdog);
                 let (w, _) = self.vms[vmi].worker.queue_work(tx_h);
                 let tid = self.vms[vmi].vhost_tids[w];
@@ -2101,11 +2107,7 @@ impl Machine {
                 && !self.vms[vmi].cur_handler.contains(&Some(rx_h));
             if rx_stuck {
                 self.vms[vmi].watchdog_rekicks += 1;
-                self.tracer
-                    .record(self.now, "wd-rekick", vm as u64, rx_h.0 as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-rekick", rx_h.0 as u64);
-                }
+                self.note(vm, "wd-rekick", rx_h.0 as u64);
                 self.trace_kick_signal(vm, rx_h, crate::spans::KickOrigin::Watchdog);
                 let (w, _) = self.vms[vmi].worker.queue_work(rx_h);
                 let tid = self.vms[vmi].vhost_tids[w];
@@ -2121,11 +2123,7 @@ impl Machine {
             {
                 self.vms[vmi].watchdog_reraises += 1;
                 let vector = self.vms[vmi].pairs[qi].rx_vector;
-                self.tracer
-                    .record(self.now, "wd-reraise", vm as u64, vector as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-reraise", vector as u64);
-                }
+                self.note(vm, "wd-reraise", vector as u64);
                 self.route_and_deliver_msi_from(vm, vector, true);
             }
             // Lost TX-completion interrupt: the guest blocked on a full
@@ -2138,11 +2136,7 @@ impl Machine {
             {
                 self.vms[vmi].watchdog_reraises += 1;
                 let vector = self.vms[vmi].pairs[qi].tx_vector;
-                self.tracer
-                    .record(self.now, "wd-reraise", vm as u64, vector as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vm, "wd-reraise", vector as u64);
-                }
+                self.note(vm, "wd-reraise", vector as u64);
                 self.route_and_deliver_msi_from(vm, vector, true);
             }
         }
@@ -2229,11 +2223,7 @@ impl Machine {
                 self.vms[vmi].vcpus[idx].degrade_to_emulated();
                 self.faults.note_pi_degradation();
                 self.modes.note_degradation(vmi);
-                self.tracer
-                    .record(self.now, "pi-degrade", vmi as u64, idx as u64);
-                if let Some(t) = self.tel.as_deref_mut() {
-                    t.annotate(self.now.as_nanos(), vmi as u32, "pi-degrade", idx as u64);
-                }
+                self.note(vmi as u32, "pi-degrade", idx as u64);
                 if let Some(tr) = self.spans.as_deref_mut() {
                     tr.on_degraded(vmi as u32, idx as u32, self.now.as_nanos());
                 }

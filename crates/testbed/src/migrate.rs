@@ -34,8 +34,7 @@
 //! (replayed in order at resume); traffic addressed to a slot that lives
 //! elsewhere is forwarded across the mailbox with the finite lookahead.
 //! The external peer never moves on migration — post-move guest↔peer
-//! traffic permanently crosses lanes in both directions, which is what
-//! finally exercises the windowed lane protocol on real workloads.
+//! traffic permanently crosses lanes in both directions.
 //!
 //! **Abort** (mid-copy failure, decided by the fault plan's migration
 //! stream): the source keeps the snapshot, buffers its own arrivals for
@@ -863,15 +862,6 @@ impl Machine {
         }
     }
 
-    /// Observational control-plane note (admit/reject): tracer and
-    /// telemetry annotation only — never touches RNG or VM state.
-    pub(crate) fn on_churn_note(&mut self, vm: u32, kind: &'static str, arg: u64) {
-        self.tracer.record(self.now, kind, vm as u64, arg);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, kind, arg);
-        }
-    }
-
     /// Bring slot `vm` fully live with fresh state: fresh rings, fresh
     /// external peer rebuilt locally, guest booted exactly like
     /// bootstrap. Shared by cold restarts and clean churn boots.
@@ -923,10 +913,7 @@ impl Machine {
             m.incoming[vmi] = None;
             m.reclaimed[vmi] = false;
         }
-        self.tracer.record(self.now, label, vm as u64, 0);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, label, 0);
-        }
+        self.note(vm, label, 0);
 
         // Boot the guest exactly like bootstrap does: staggered
         // vruntimes, woken vCPUs, external kick-off, recovery chains.
@@ -1063,10 +1050,7 @@ impl Machine {
             // same slot on this host may already be staged.
             m.reclaimed[vmi] = true;
         }
-        self.tracer.record(self.now, label, vm as u64, 0);
-        if let Some(t) = self.tel.as_deref_mut() {
-            t.annotate(self.now.as_nanos(), vm, label, 0);
-        }
+        self.note(vm, label, 0);
         true
     }
 

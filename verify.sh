@@ -12,6 +12,9 @@ cargo build --release
 cargo test -q
 cargo clippy -q --workspace -- -D warnings
 
+# Bench gate: every criterion bench must still compile.
+cargo bench --no-run -q --workspace
+
 # Rustdoc gate: the API docs must build clean (broken intra-doc links
 # and malformed doc comments are errors, not noise).
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
@@ -72,9 +75,10 @@ grep -q "leaked to neighbors: 0" /tmp/es2_hostile_serial.txt
 rm -f /tmp/es2_hostile_serial.txt /tmp/es2_hostile_default.txt
 
 # Multi-host cell determinism: the consolidation/migration report runs
-# N host machines as conservative event lanes with live migrations,
-# crashes and aborts crossing between them, and must still be
-# byte-identical serial (ES2_THREADS=1) vs the default thread count.
+# N host machines as event lanes, merged serially on one thread, with
+# live migrations, crashes and aborts crossing between them. It must be
+# byte-identical serial (ES2_THREADS=1) vs the default thread count,
+# which guards against a thread-dependent cluster path coming back.
 # Every migration in the sweep must resume, and the report must stay
 # liveness-clean.
 ES2_THREADS=1 ./target/release/repro --migrate --fast > /tmp/es2_migrate_serial.txt
